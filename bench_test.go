@@ -602,7 +602,10 @@ func TestEmitBenchJSON(t *testing.T) {
 	if path == "" {
 		t.Skip("set BENCH_JSON=<path> to emit the benchmark report")
 	}
-	tts := exp.AllTimed(1)
+	tts, err := exp.AllTimed(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tt := range tts {
 		if tt.Table.Err != nil {
 			t.Fatalf("%s: %v", tt.Table.ID, tt.Table.Err)

@@ -2,9 +2,11 @@
 // E1–E16 index in DESIGN.md) and prints one table per experiment. The
 // outputs recorded in EXPERIMENTS.md were produced by this command.
 //
-// With -json the per-experiment wall-clock times are additionally written
-// as a machine-readable report (the repo tracks one as BENCH_engine.json
-// so PRs can diff the perf trajectory). -cpuprofile/-memprofile write
+// -only selects which experiments run (an unknown ID exits 2 before
+// anything runs). With -json the per-experiment wall-clock times of the
+// experiments that ran are additionally written as a machine-readable
+// report (the repo tracks one as BENCH_engine.json so PRs can diff the
+// perf trajectory). -cpuprofile/-memprofile write
 // runtime/pprof profiles of the run, the intended workflow for tuning the
 // sharded reachability kernel (engine.SetShards) against E22.
 //
@@ -32,7 +34,7 @@ func main() {
 // before the process exits (os.Exit in main would skip them).
 func run() int {
 	scale := flag.Int("scale", 1, "workload scale factor (1 = fast)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all); the JSON report lists only these")
 	jsonPath := flag.String("json", "", "write machine-readable benchmark results to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -66,19 +68,19 @@ func run() int {
 		}()
 	}
 
-	want := map[string]bool{}
+	var ids []string
 	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(id)
-		if id != "" {
-			want[strings.ToUpper(id)] = true
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
 		}
 	}
+	tts, err := exp.AllTimed(*scale, ids...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cxrpq-exp:", err)
+		return 2
+	}
 	failed := false
-	tts := exp.AllTimed(*scale)
 	for _, tt := range tts {
-		if len(want) > 0 && !want[strings.ToUpper(tt.Table.ID)] {
-			continue
-		}
 		fmt.Println(tt.Table.Render())
 		if tt.Table.Err != nil {
 			failed = true

@@ -86,7 +86,8 @@
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
 //	                     engine (shared atom-relation cache, relaxed-atom
-//	                     subtree pruning, parallel mapping enumeration);
+//	                     subtree pruning by memoized emptiness probes,
+//	                     parallel mapping enumeration);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, fragment
@@ -108,7 +109,9 @@
 //	                     Cursor serving Fetch/Next pages from a lazy
 //	                     backtracking join (atom relations computed in
 //	                     growing source chunks, so the first row costs one
-//	                     shallow probe), with per-stream budgets
+//	                     shallow probe; unranked joins skip dead bindings
+//	                     and stop at one completion once the output is
+//	                     bound, ecrpq/cuts.go), with per-stream budgets
 //	                     (deadline/limit/context cancellation), ranked
 //	                     best-witness-first order produced by the
 //	                     incremental any-k enumerator (ecrpq/anyk.go: a

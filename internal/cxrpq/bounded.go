@@ -383,18 +383,27 @@ func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Nod
 
 // pruneRelaxed checks the Σ*-relaxed partial instantiation of edge ei
 // against D. It reports false when the relaxed atom labels no path at all —
-// no completion of the current prefix can satisfy the atom.
+// no completion of the current prefix can satisfy the atom. Only that one
+// bit is needed, so the check is an emptiness probe (ecrpq.LabelsSomePath:
+// one multi-source search that stops at the first accepting configuration)
+// memoized per session epoch, never a materialized relation.
 func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	e := st.e
 	relaxed, err := relaxCut(e.p.c[ei], st.assign, e.sigma)
 	if err != nil {
 		return false, err
 	}
-	rel, err := e.relationFor(xregex.Simplify(relaxed))
+	relaxed = xregex.Simplify(relaxed)
+	key := xregex.String(relaxed)
+	if ok, hit := e.caches.nonempty.get(key); hit {
+		return ok, nil
+	}
+	ok, err := ecrpq.LabelsSomePath(e.db, relaxed, e.sigma, e.fanBud)
 	if err != nil {
 		return false, err
 	}
-	return !rel.Empty(), nil
+	e.caches.nonempty.put(key, ok)
+	return ok, nil
 }
 
 // processStep instantiates the edges that become determined once vars[:i]

@@ -2,6 +2,7 @@ package cxrpq
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -94,6 +95,27 @@ func (c *epochMap[V]) put(key string, v V) {
 	c.m[key] = v
 }
 
+// filter deletes the entries keep rejects, in place.
+func (c *epochMap[V]) filter(keep func(V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	maps.DeleteFunc(c.m, func(_ string, v V) bool { return !keep(v) })
+}
+
+// filtered returns a copy holding the entries keep accepts, with fresh
+// counters; the receiver is not modified.
+func (c *epochMap[V]) filtered(keep func(V) bool) *epochMap[V] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := newEpochMap[V](c.cap)
+	for k, v := range c.m {
+		if keep(v) {
+			out.m[k] = v
+		}
+	}
+	return out
+}
+
 func (c *epochMap[V]) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -106,6 +128,12 @@ func (c *epochMap[V]) stats() (hits, misses uint64, size int) {
 type sessionCaches struct {
 	rels *ecrpq.RelCache
 	feas *epochMap[bool]
+
+	// nonempty memoizes the relaxed-atom emptiness probes of the bounded
+	// engine (boundedState.pruneRelaxed), keyed by the relaxed label's
+	// print. Insertions can only turn a false verdict true, so an
+	// insert-only delta keeps just the true entries (keepNonempty).
+	nonempty *epochMap[bool]
 
 	labMu  sync.Mutex
 	labels map[int][]string // k -> words of length ≤ k labelling paths of D
@@ -134,6 +162,7 @@ func newSessionCaches(relCap, feasCap, floor int) *sessionCaches {
 	return &sessionCaches{
 		rels:          ecrpq.NewRelCache(relCap),
 		feas:          newEpochMap[bool](feasCap),
+		nonempty:      newEpochMap[bool](feasCap),
 		labels:        map[int][]string{},
 		semijoinFloor: float64(floor),
 	}
@@ -157,6 +186,11 @@ func (sc *sessionCaches) dropDerived() {
 	sc.planErr = nil
 	sc.planMu.Unlock()
 }
+
+// keepNonempty is the filter an insert-only delta applies to the
+// emptiness-probe memo: a label that labelled a path still does, while an
+// empty verdict may have been overturned by the new edges.
+func keepNonempty(ok bool) bool { return ok }
 
 func (sc *sessionCaches) feasGet(key string) (res, ok bool) { return sc.feas.get(key) }
 
@@ -280,15 +314,16 @@ func (s *Session) refreshLocked(rev uint64) {
 // window and reports whether fine-grained maintenance succeeded (false
 // demands a full flush):
 //
-//	delta kind              rels        feas   labels  plan   results
-//	net-empty (cancelled)   keep        keep   keep    keep   keep
-//	insert-only, no new     retain/     keep   drop    drop   drop
-//	labels                  extend
+//	delta kind              rels        feas   nonempty  labels  plan   results
+//	net-empty (cancelled)   keep        keep   keep      keep    keep   keep
+//	insert-only, no new     retain/     keep   keep true drop    drop   drop
+//	labels                  extend             verdicts
 //	removals / new labels   — full flush —
 //
 // The feasibility memo depends only on the session alphabet (definition
 // bodies × candidate words), which is unchanged exactly when the delta
-// introduces no label; the relation cache delegates to ecrpq.RelCache.
+// introduces no label; the emptiness-probe memo keeps only its non-empty
+// verdicts (keepNonempty); the relation cache delegates to ecrpq.RelCache.
 // ApplyDelta.
 func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 	if info.Empty() {
@@ -301,6 +336,7 @@ func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 	if _, _, err := s.caches.rels.ApplyDelta(s.db, info); err != nil {
 		return false
 	}
+	s.caches.nonempty.filter(keepNonempty)
 	s.caches.dropDerived()
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.DeltaApplies++
@@ -350,7 +386,9 @@ func (s *Session) Refresh() {
 //	                             concurrency-safe; same data)
 //	insert-only, no new labels   relation cache forked + delta-maintained,
 //	                             feasibility memo shared (alphabet
-//	                             unchanged), labels/plan/results fresh
+//	                             unchanged), emptiness-probe memo copied
+//	                             with its non-empty verdicts only,
+//	                             labels/plan/results fresh
 //	anything else                fresh epoch (full rebuild)
 func (s *Session) Fork(db *graph.DB) *Session {
 	ns := &Session{plan: s.plan, db: db, opts: s.opts}
@@ -378,6 +416,7 @@ func (s *Session) Fork(db *graph.DB) *Session {
 			if _, _, err := rels.ApplyDelta(db, info); err == nil {
 				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
 				ns.caches = &sessionCaches{rels: rels, feas: s.caches.feas,
+					nonempty:      s.caches.nonempty.filtered(keepNonempty),
 					labels:        map[int][]string{},
 					semijoinFloor: s.caches.semijoinFloor}
 				ns.results = newResultCache(s.opts.ResultCacheCap)

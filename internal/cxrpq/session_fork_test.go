@@ -186,3 +186,69 @@ func TestSessionForkConcurrentReaders(t *testing.T) {
 		t.Fatal("final forked session diverged")
 	}
 }
+
+// The bounded engine memoizes its relaxed-atom emptiness probes per cache
+// epoch. An insert can turn an empty relaxed atom non-empty, so only the
+// non-empty verdicts may survive an insert-only Fork or ApplyDelta; a
+// removal can turn a non-empty one empty. Here the atom $w{a}bc relaxes to
+// Σ*bc before w is guessed: empty on the first graph (no b edge is followed
+// by a c edge), non-empty once w c z is inserted, empty again once v b w is
+// removed. Each session must answer like a fresh bind on its graph.
+func TestSessionForkNonemptinessMemo(t *testing.T) {
+	db := graph.MustParse("u a v\nv b w\np c q\n")
+	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, y)\nx y : $w{a}bc\n"))
+	const k = 1
+	check := func(name string, s *cxrpq.Session, db *graph.DB, wantLen int) {
+		t.Helper()
+		want, err := plan.Bind(db).EvalBounded(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.EvalBounded(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: %v, fresh bind %v", name, got.Sorted(), want.Sorted())
+		}
+		if want.Len() != wantLen {
+			t.Fatalf("%s: vacuous: %d answers, expected %d", name, want.Len(), wantLen)
+		}
+	}
+
+	snap1 := db.Snapshot().DB()
+	s1 := plan.Bind(snap1)
+	check("empty relaxed atom", s1, snap1, 0)
+
+	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "w", Label: 'c', To: "z"}}}); err != nil {
+		t.Fatal(err)
+	}
+	snap2 := db.Snapshot().DB()
+	s2 := s1.Fork(snap2)
+	if st := s2.Stats(); st.Maint.DeltaApplies != 1 {
+		t.Fatalf("insert-only fork was not delta-maintained: %+v", st.Maint)
+	}
+	check("fork after insert", s2, snap2, 1)
+
+	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: "v", Label: 'b', To: "w"}}}); err != nil {
+		t.Fatal(err)
+	}
+	snap3 := db.Snapshot().DB()
+	check("fork after removal", s2.Fork(snap3), snap3, 0)
+
+	// The same two steps through in-place maintenance (Session.ApplyDelta).
+	live := graph.MustParse("u a v\nv b w\np c q\n")
+	s := plan.Bind(live)
+	check("live, empty relaxed atom", s, live, 0)
+	if _, err := s.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "w", Label: 'c', To: "z"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Maint.DeltaApplies != 1 {
+		t.Fatalf("insert-only ApplyDelta was not delta-maintained: %+v", st.Maint)
+	}
+	check("live after insert", s, live, 1)
+	if _, err := s.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: "v", Label: 'b', To: "w"}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("live after removal", s, live, 0)
+}

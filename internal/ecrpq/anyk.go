@@ -284,10 +284,11 @@ func (rt *anykRoot) extend(ci int, assign map[string]int) []anykExt {
 	}
 	if rt.ev != nil {
 		c := rt.order[ci]
+		all := func(d int) bool { collect(d); return true }
 		if c.kind == cEdge {
-			rt.ev.satisfyEdgeCost(c.idx, assign, collect)
+			rt.ev.satisfyEdgeCost(c.idx, assign, nil, all)
 		} else {
-			rt.ev.satisfyGroupCost(c.idx, assign, collect)
+			rt.ev.satisfyGroupCost(c.idx, assign, nil, all)
 		}
 	} else {
 		rt.extendJoin(ci, assign, collect)

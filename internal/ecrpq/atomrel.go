@@ -96,6 +96,32 @@ func RelationForW(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Bud
 	return r, nil
 }
 
+// LabelsSomePath reports whether label labels at least one path of db —
+// whether RelationFor(db, label, sigma) would be non-empty — without
+// building the relation: one multi-source product search with every node
+// seeded (engine.AnyPath) that stops at the first accepting configuration.
+// A budget that fires before the answer is known yields engine.ErrCanceled.
+func LabelsSomePath(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
+	if _, empty := label.(*xregex.Empty); empty {
+		return false, nil
+	}
+	ent, err := compiledFor(label, sigma)
+	if err != nil {
+		return false, err
+	}
+	srcs := make([]int, db.NumNodes())
+	for i := range srcs {
+		srcs[i] = i
+	}
+	if engine.AnyPath(db.Index(), ent.cache, srcs, true, bud) {
+		return true, nil
+	}
+	if bud.Canceled() {
+		return false, engine.ErrCanceled
+	}
+	return false, nil
+}
+
 // HasLevels reports whether the relation carries BFS first-hit levels
 // (built by RelationForEx with levels, required for ranked joins).
 func (r *EdgeRel) HasLevels() bool { return r.lev != nil }
@@ -310,12 +336,28 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pr
 // are NOT deduplicated here: a projection can complete under several
 // assignments, and the caller (the bounded engine merges many leaf joins
 // anyway) owns dedup and min-cost selection.
+//
+// Cut contract (unranked joins, i.e. relations without levels; see
+// cuts.go): the backtracking branch binds a dead variable — read by no
+// output and no later atom — to one witness value only, and once every
+// output variable is bound it runs the rest of the order as an existence
+// check that unwinds at the first completion. Only repeats are skipped:
+// the distinct tuples and the order of their first appearance are those
+// of the uncut join. Joins over leveled relations enumerate every binding.
 func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, bud *engine.Budget, yield func(t pattern.Tuple, cost int) bool) {
 	var order []int
 	if spec != nil {
 		order = spec.Order
 	} else {
 		order = JoinOrder(g, pre)
+	}
+	// Relations carrying levels mean a ranked join: every atom's Dist flows
+	// into the witness cost, so nothing may be collapsed or cut.
+	ranked := false
+	for _, r := range rels {
+		if r != nil && r.HasLevels() {
+			ranked = true
+		}
 	}
 	var dom *planner.Domains
 	floor := semijoinFloorFor(spec)
@@ -338,12 +380,6 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 		// constraint) — except in ranked joins, where each atom's Dist
 		// contributes to the witness cost.
 		if complete && planner.YannakakisEnabled() {
-			ranked := false
-			for _, r := range rels[:len(g.Edges)] {
-				if r.HasLevels() {
-					ranked = true
-				}
-			}
 			var skip []bool
 			kept := len(g.Edges)
 			if !ranked {
@@ -376,43 +412,59 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 		}
 		dom = d
 	}
+	vars := make([][]string, len(order))
+	for ci, ei := range order {
+		vars[ci] = []string{g.Edges[ei].From, g.Edges[ei].To}
+	}
+	cuts := projectionCuts(vars, pre, g.Out, ranked)
 	assign := map[string]int{}
 	for z, v := range pre {
 		assign[z] = v
 	}
 	stop := false
-	var rec func(ci, cost int)
-	rec = func(ci, cost int) {
+	// rec reports whether the subtree below constraint ci completed at
+	// least once; step continues it with one binding and reports whether
+	// constraint ci should try its next binding.
+	var rec func(ci, cost int) bool
+	rec = func(ci, cost int) bool {
 		if stop {
-			return
+			return false
 		}
 		if ci == len(order) {
 			t := make(pattern.Tuple, len(g.Out))
 			for i, z := range g.Out {
 				v, ok := assign[z]
 				if !ok {
-					return // output var not constrained; Validate prevents this
+					return false // output var not constrained; Validate prevents this
 				}
 				t[i] = v
 			}
 			if !yield(t, cost) {
 				stop = true
 			}
-			return
+			return true
 		}
 		if bud.Canceled() {
 			stop = true
-			return
+			return false
 		}
 		ei := order[ci]
 		e := g.Edges[ei]
 		r := rels[ei]
+		dead := cuts.dead[ci]
+		found := false
+		step := func(d int) bool {
+			if rec(ci+1, cost+d) {
+				found = true
+			}
+			return !stop && !(found && ci >= cuts.exist)
+		}
 		u, uok := assign[e.From]
 		v, vok := assign[e.To]
 		switch {
 		case uok && vok:
 			if r.Has(u, v) {
-				rec(ci+1, cost+int(r.Dist(u, v)))
+				step(int(r.Dist(u, v)))
 			}
 		case uok:
 			for _, w := range r.Forward(u) {
@@ -420,8 +472,7 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 					continue
 				}
 				assign[e.To] = w
-				rec(ci+1, cost+int(r.Dist(u, w)))
-				if stop {
+				if !step(int(r.Dist(u, w))) || dead[e.To] {
 					break
 				}
 			}
@@ -432,24 +483,26 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 					continue
 				}
 				assign[e.From] = w
-				rec(ci+1, cost+int(r.Dist(w, v)))
-				if stop {
+				if !step(int(r.Dist(w, v))) || dead[e.From] {
 					break
 				}
 			}
 			delete(assign, e.From)
 		default:
-			for u := 0; u < r.NumNodes(); u++ {
-				if stop {
-					break
-				}
+			// A dead source is bound by its first witness per target
+			// (targets already continued are skipped); a dead target by
+			// the first target per source.
+			deadFrom, deadTo := dead[e.From], dead[e.To]
+			done := newTargetSet(dead, e.From, e.To, r.NumNodes())
+			more := true
+			for u := 0; u < r.NumNodes() && more; u++ {
 				if !dom.Has(e.From, u) {
 					continue
 				}
 				if e.From == e.To {
 					if r.Has(u, u) {
 						assign[e.From] = u
-						rec(ci+1, cost+int(r.Dist(u, u)))
+						more = step(int(r.Dist(u, u))) && !deadFrom
 					}
 					continue
 				}
@@ -462,9 +515,16 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 					if !dom.Has(e.To, w) {
 						continue
 					}
+					if !done.admit(w) {
+						continue
+					}
 					assign[e.To] = w
-					rec(ci+1, cost+int(r.Dist(u, w)))
-					if stop {
+					if !step(int(r.Dist(u, w))) {
+						more = false
+						break
+					}
+					if deadTo {
+						more = !deadFrom
 						break
 					}
 				}
@@ -472,6 +532,7 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 			}
 			delete(assign, e.From)
 		}
+		return found
 	}
 	rec(0, 0)
 }

@@ -152,6 +152,10 @@ type evaluator struct {
 	fwdLev []map[int][]int32 // per edge: memoized u -> BFS level per target
 	revLev []map[int][]int32 // per edge: memoized v -> BFS level per source
 
+	// some memoizes the existence checks of dead endpoints (hasPath): per
+	// edge, u -> "u has a target" and -1-v -> "v has a source".
+	some []map[int]bool
+
 	// weight generalizes witness cost from edge count to a pluggable
 	// per-edge-label weight (engine.Weight): with it set and ranked, level
 	// lookups run the Dijkstra kernel (engine.ReachLevelsW) and group
@@ -199,6 +203,7 @@ func newEvaluator(q *Query, db *graph.DB) (*evaluator, error) {
 		inGroup: make([]bool, len(q.Pattern.Edges)),
 		fwdLev:  make([]map[int][]int32, len(q.Pattern.Edges)),
 		revLev:  make([]map[int][]int32, len(q.Pattern.Edges)),
+		some:    make([]map[int]bool, len(q.Pattern.Edges)),
 	}
 	for i, e := range q.Pattern.Edges {
 		ent, err := compiledFor(e.Label, sigma)
@@ -211,6 +216,7 @@ func newEvaluator(q *Query, db *graph.DB) (*evaluator, error) {
 		ev.rev[i] = map[int][]int{}
 		ev.fwdLev[i] = map[int][]int32{}
 		ev.revLev[i] = map[int][]int32{}
+		ev.some[i] = map[int]bool{}
 	}
 	for gi, g := range q.Groups {
 		ev.gmemo[gi] = map[string]groupExp{}
@@ -372,6 +378,33 @@ func (ev *evaluator) backwardLev(ei, v int) ([]int, []int32) {
 		ev.revLev[ei][v] = ls
 	}
 	return us, ls
+}
+
+// hasPath reports whether node x has some target (forward) or some source
+// (backward) under edge ei's regex: the existence check that stands in for
+// a dead endpoint's bindings (see cuts.go). A memoized endpoint list
+// answers it outright; otherwise one single-source probe (engine.AnyPath)
+// stops at the first accepting configuration instead of enumerating them.
+func (ev *evaluator) hasPath(ei, x int, forward bool) bool {
+	memo, key := ev.fwd[ei], x
+	if !forward {
+		memo, key = ev.rev[ei], -1-x
+	}
+	if xs, ok := memo[x]; ok {
+		return len(xs) > 0
+	}
+	if ok, hit := ev.some[ei][key]; hit {
+		return ok
+	}
+	c := ev.ents[ei].cache
+	if !forward {
+		_, c = ev.ents[ei].reverse()
+	}
+	ok := engine.AnyPath(ev.ix, c, []int{x}, forward, ev.bud)
+	if ok || !ev.bud.Canceled() {
+		ev.some[ei][key] = ok
+	}
+	return ok
 }
 
 func (ev *evaluator) hasEdgePath(ei, u, v int) bool {
@@ -784,17 +817,36 @@ type constraintRef struct {
 	idx  int
 }
 
+// constraintVars lists the node variables constraint c reads or binds.
+func (ev *evaluator) constraintVars(c constraintRef) []string {
+	if c.kind == cEdge {
+		e := ev.q.Pattern.Edges[c.idx]
+		return []string{e.From, e.To}
+	}
+	var vs []string
+	for _, ei := range ev.q.Groups[c.idx].Edges {
+		e := ev.q.Pattern.Edges[ei]
+		vs = append(vs, e.From, e.To)
+	}
+	return vs
+}
+
 // satisfyEdge is the cost-blind form kept for the witness-reconstruction
 // search; the join paths go through satisfyEdgeCost.
 func (ev *evaluator) satisfyEdge(ei int, assign map[string]int, cont func()) {
-	ev.satisfyEdgeCost(ei, assign, func(int) { cont() })
+	ev.satisfyEdgeCost(ei, assign, nil, func(int) bool { cont(); return true })
 }
 
 // satisfyEdgeCost enumerates the edge's satisfying bindings, passing each
 // continuation the edge's witness contribution — the BFS level (shortest
 // matching-path length in graph edges) of the chosen target — when the
-// evaluator is ranked, and 0 otherwise.
-func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(cost int)) {
+// evaluator is ranked, and 0 otherwise. A false return from cont ends the
+// enumeration. dead holds the endpoint variables the join's projection
+// cuts mark dead at this edge (see cuts.go; nil for none): one witness
+// value stands in for all of a dead variable's bindings, and with every
+// newly bound endpoint dead the lazy sweep stops loading chunks at the
+// first match.
+func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, dead map[string]bool, cont func(cost int) bool) {
 	e := ev.q.Pattern.Edges[ei]
 	u, uok := assign[e.From]
 	v, vok := assign[e.To]
@@ -815,12 +867,20 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 			ws, ls := ev.forwardLev(ei, u)
 			for i, w := range ws {
 				assign[e.To] = w
-				cont(int(ls[i]))
+				if !cont(int(ls[i])) {
+					break
+				}
+			}
+		} else if dead[e.To] {
+			if ev.hasPath(ei, u, true) {
+				cont(0)
 			}
 		} else {
 			for _, w := range ev.forward(ei, u) {
 				assign[e.To] = w
-				cont(0)
+				if !cont(0) {
+					break
+				}
 			}
 		}
 		delete(assign, e.To)
@@ -829,12 +889,20 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 			us, ls := ev.backwardLev(ei, v)
 			for i, w := range us {
 				assign[e.From] = w
-				cont(int(ls[i]))
+				if !cont(int(ls[i])) {
+					break
+				}
+			}
+		} else if dead[e.From] {
+			if ev.hasPath(ei, v, false) {
+				cont(0)
 			}
 		} else {
 			for _, w := range ev.backward(ei, v) {
 				assign[e.From] = w
-				cont(0)
+				if !cont(0) {
+					break
+				}
 			}
 		}
 		delete(assign, e.From)
@@ -848,8 +916,14 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 		if !ev.lazy {
 			ev.forwardAll(ei)
 		}
+		// A dead source is bound by its first witness per target (targets
+		// already continued are skipped); a dead target by the first
+		// target per source.
+		deadFrom, deadTo := dead[e.From], dead[e.To]
+		done := newTargetSet(dead, e.From, e.To, n)
+		more := true
 		chunk := 1
-		for lo := 0; lo < n; {
+		for lo := 0; lo < n && more; {
 			hi := lo + chunk
 			if hi > n {
 				hi = n
@@ -864,7 +938,7 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 				}
 				ev.ensureForward(ei, srcs)
 			}
-			for u := lo; u < hi; u++ {
+			for u := lo; u < hi && more; u++ {
 				assign[e.From] = u
 				var targets []int
 				var levs []int32
@@ -873,24 +947,30 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 				} else {
 					targets = ev.forward(ei, u)
 				}
+				cost := func(i int) int {
+					if levs == nil {
+						return 0
+					}
+					return int(levs[i])
+				}
 				if e.From == e.To {
-					for i, w := range targets {
-						if w == u {
-							if ev.ranked {
-								cont(int(levs[i]))
-							} else {
-								cont(0)
-							}
-						}
+					if i := sort.SearchInts(targets, u); i < len(targets) && targets[i] == u {
+						more = cont(cost(i)) && !deadFrom
 					}
 					continue
 				}
 				for i, w := range targets {
+					if !done.admit(w) {
+						continue
+					}
 					assign[e.To] = w
-					if ev.ranked {
-						cont(int(levs[i]))
-					} else {
-						cont(0)
+					if !cont(cost(i)) {
+						more = false
+						break
+					}
+					if deadTo {
+						more = !deadFrom
+						break
 					}
 				}
 				delete(assign, e.To)
@@ -907,13 +987,16 @@ func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, cont func(co
 // satisfyGroup is the cost-blind form kept for the witness-reconstruction
 // search; the join paths go through satisfyGroupCost.
 func (ev *evaluator) satisfyGroup(gi int, assign map[string]int, cont func()) {
-	ev.satisfyGroupCost(gi, assign, func(int) { cont() })
+	ev.satisfyGroupCost(gi, assign, nil, func(int) bool { cont(); return true })
 }
 
 // satisfyGroupCost enumerates the group's satisfying bindings, passing each
 // continuation the group's witness contribution — the synchronized product
-// depth (shared word length) of the chosen end tuple — when ranked.
-func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, cont func(cost int)) {
+// depth (shared word length) of the chosen end tuple — when ranked. A false
+// return from cont ends the enumeration; when every variable the group
+// binds is in dead (the projection cuts, see cuts.go), the first binding
+// is the only one continued.
+func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, dead map[string]bool, cont func(cost int) bool) {
 	g := ev.q.Groups[gi]
 	srcVars := make([]string, len(g.Edges))
 	tgtVars := make([]string, len(g.Edges))
@@ -924,16 +1007,25 @@ func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, cont func(c
 	// enumerate unbound source variables
 	var unbound []string
 	seenVar := map[string]bool{}
+	once := true
+	for _, x := range append(srcVars, tgtVars...) {
+		if _, ok := assign[x]; !ok && !seenVar[x] {
+			seenVar[x] = true
+			once = once && dead[x]
+		}
+	}
+	clear(seenVar)
 	for _, x := range srcVars {
 		if _, ok := assign[x]; !ok && !seenVar[x] {
 			seenVar[x] = true
 			unbound = append(unbound, x)
 		}
 	}
+	more := true
 	var bindSrc func(i int)
 	bindSrc = func(i int) {
 		if i < len(unbound) {
-			for u := 0; u < ev.db.NumNodes(); u++ {
+			for u := 0; u < ev.db.NumNodes() && more; u++ {
 				assign[unbound[i]] = u
 				bindSrc(i + 1)
 			}
@@ -945,7 +1037,8 @@ func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, cont func(c
 			src[j] = assign[x]
 		}
 		exp := ev.expandGroup(gi, src)
-		for ti, end := range exp.ends {
+		for ti := 0; ti < len(exp.ends) && more; ti++ {
+			end := exp.ends[ti]
 			// bind/check target variables consistently
 			var newly []string
 			ok := true
@@ -965,7 +1058,7 @@ func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, cont func(c
 				if exp.deps != nil {
 					cost = int(exp.deps[ti])
 				}
-				cont(cost)
+				more = cont(cost) && !once
 			}
 			for _, y := range newly {
 				delete(assign, y)

@@ -63,7 +63,7 @@ func ReachLevels(ix *graph.Index, c *automata.SubsetCache, src int, forward bool
 		return nil, nil
 	}
 	hitLev := make([]int32, n)
-	hitBits := reachCore(ix, c, src, forward, bud, hitLev)
+	hitBits := reachCore(ix, c, []int{src}, forward, bud, hitLev, false)
 	for wi, bs := range hitBits {
 		for bs != 0 {
 			v := wi*64 + bits.TrailingZeros64(bs)
@@ -89,13 +89,34 @@ func ReachBitsBudget(ix *graph.Index, c *automata.SubsetCache, src int, forward 
 	if src < 0 || src >= n {
 		return nil
 	}
-	return reachCore(ix, c, src, forward, bud, nil)
+	return reachCore(ix, c, []int{src}, forward, bud, nil, false)
 }
 
-// reachCore is the scalar product BFS shared by Reach/ReachBits/ReachLevels.
-// When hitLev is non-nil it receives the first-hit level per node (indexed
-// by node id; positions whose hit bit is never set are untouched).
-func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, hitLev []int32) []uint64 {
+// AnyPath reports whether some path starting at one of srcs (following
+// out-edges when forward is true, in-edges otherwise) has a label accepted
+// by the automaton behind c: one multi-source product search with every
+// source seeded at level 0, stopping at the first accepting configuration.
+// It is the emptiness probe for callers that only need to know whether a
+// relation is empty, not which pairs it holds. A canceled budget ends the
+// search early; the false it then returns is inconclusive, and the caller
+// must consult the budget before trusting it.
+func AnyPath(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, bud *Budget) bool {
+	for _, w := range reachCore(ix, c, srcs, forward, bud, nil, true) {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// reachCore is the scalar product BFS shared by Reach/ReachBits/ReachLevels
+// and AnyPath. Every in-range node of srcs is seeded at level 0 with the
+// start state, so the hits are the nodes reachable from any source. When
+// hitLev is non-nil it receives the first-hit level per node (indexed by
+// node id; positions whose hit bit is never set are untouched). With first
+// set the search returns as soon as one accepting configuration is
+// dequeued, its node the only hit.
+func reachCore(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, bud *Budget, hitLev []int32, first bool) []uint64 {
 	n := ix.NumNodes()
 	nSyms := ix.NumSyms()
 	words := (n + 63) / 64
@@ -134,12 +155,19 @@ func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, 
 		id   int32
 	}
 	startID := c.Start()
-	queue := []cfg{{int32(src), startID}}
-	ensure(startID)[src/64] |= 1 << (src % 64)
+	var queue []cfg
+	start := ensure(startID)
+	for _, src := range srcs {
+		if src < 0 || src >= n || start[src/64]&(1<<(src%64)) != 0 {
+			continue
+		}
+		start[src/64] |= 1 << (src % 64)
+		queue = append(queue, cfg{int32(src), startID})
+	}
 
 	hitBits := make([]uint64, words)
 	depth := int32(0)
-	levelEnd := 1 // queue prefix holding the current BFS level
+	levelEnd := len(queue) // queue prefix holding the current BFS level
 	for qi := 0; qi < len(queue); qi++ {
 		if qi == levelEnd {
 			depth++
@@ -156,6 +184,9 @@ func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, 
 				if hitLev != nil {
 					hitLev[cur.node] = depth
 				}
+			}
+			if first {
+				break
 			}
 		}
 		row := localFor(cur.id)

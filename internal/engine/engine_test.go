@@ -171,6 +171,38 @@ func TestReachAgreesWithReference(t *testing.T) {
 	}
 }
 
+// TestAnyPathAgreesWithReference checks the emptiness probe against the
+// reference BFS: a random seed subset (empty, single, or every node) has an
+// accepted path exactly when one of its sources reaches something.
+func TestAnyPathAgreesWithReference(t *testing.T) {
+	const letters = "abc"
+	for seed := int64(0); seed < 60; seed++ {
+		rng := workload.NewRNG(seed*31 + 7)
+		db := workload.Random(seed, 4+rng.Intn(8), 2+rng.Intn(14), letters)
+		n := randNode(rng, letters, 1+rng.Intn(3))
+		m, err := xregex.Compile(n, []rune(letters))
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		var srcs []int
+		switch rng.Intn(3) {
+		case 0:
+			srcs = []int{rng.Intn(db.NumNodes())}
+		case 1:
+			for u := 0; u < db.NumNodes(); u++ {
+				srcs = append(srcs, u)
+			}
+		}
+		want := false
+		for _, u := range srcs {
+			want = want || len(referenceReach(db, m, u, true)) > 0
+		}
+		if got := engine.AnyPath(db.Index(), automata.NewSubsetCache(m), srcs, true, nil); got != want {
+			t.Fatalf("seed %d regex %s: AnyPath(%v) = %v, reference %v", seed, xregex.String(n), srcs, got, want)
+		}
+	}
+}
+
 // TestReachAllMatchesReach checks that the parallel fan-out returns exactly
 // the per-source results, for every worker-pool width.
 func TestReachAllMatchesReach(t *testing.T) {

@@ -126,11 +126,63 @@ type exMsg struct {
 	mask     uint64
 }
 
-// shardWorker is the state owned by one shard's goroutine. visited/pend are
-// indexed [set id][node - lo] and hold source masks; final/local cache the
-// automaton's acceptance and transition rows per set id (they survive
-// across batches — the automaton does not change between batches, only the
-// source masks do).
+// shardScratch is the batch storage of one shard worker: the mask rows
+// indexed [set id][node - lo], the hit masks and levels, and the frontier
+// buffers. It does not depend on the automaton, so it is pooled by shard
+// size across ReachBatchEx calls (getScratch/putScratch) and a call in
+// steady state allocates little beyond its output lists. Rows come out of
+// the pool zeroed; level entries are only read under a set hit bit, so
+// they are never cleared.
+type shardScratch struct {
+	visited [][]uint64 // [id][node-lo] -> mask of sources that reached it
+	pend    [][]uint64 // [id][node-lo] -> mask not yet expanded
+	used    int        // rows [0, used) may be dirty
+	hits    []uint64   // [node-lo] -> mask of sources hitting node finally
+	levBuf  []int32    // hitLev storage, allocated on the first leveled call
+
+	frontier, next []batchCfg
+	masks          []uint64 // per-frontier-entry pend snapshot (see expand)
+}
+
+// scratchPools maps a shard size to the *sync.Pool of its *shardScratch.
+var scratchPools sync.Map
+
+func getScratch(sz int) *shardScratch {
+	p, ok := scratchPools.Load(sz)
+	if !ok {
+		p, _ = scratchPools.LoadOrStore(sz, &sync.Pool{New: func() any {
+			return &shardScratch{hits: make([]uint64, sz)}
+		}})
+	}
+	return p.(*sync.Pool).Get().(*shardScratch)
+}
+
+// putScratch zeroes the dirty rows and hands the scratch back to its pool.
+func putScratch(sc *shardScratch) {
+	sc.reset()
+	p, _ := scratchPools.Load(len(sc.hits))
+	p.(*sync.Pool).Put(sc)
+}
+
+// reset clears the per-batch state (dirty mask rows, hits, frontiers) while
+// keeping all allocated storage.
+func (sc *shardScratch) reset() {
+	for i := 0; i < sc.used; i++ {
+		if sc.visited[i] != nil {
+			clear(sc.visited[i])
+			clear(sc.pend[i])
+		}
+	}
+	sc.used = 0
+	clear(sc.hits)
+	sc.frontier = sc.frontier[:0]
+	sc.next = sc.next[:0]
+}
+
+// shardWorker is the state owned by one shard's goroutine: its pooled batch
+// scratch plus final/local, which cache the automaton's acceptance and
+// transition rows per set id (they survive across batches — the automaton
+// does not change between batches, only the source masks do).
 type shardWorker struct {
 	idx     int
 	lo, hi  int32
@@ -142,16 +194,11 @@ type shardWorker struct {
 	bud     *Budget // optional; polled once per level
 	depth   int32   // current BFS level (0 while seeding)
 
-	visited [][]uint64 // [id][node-lo] -> mask of sources that reached it
-	pend    [][]uint64 // [id][node-lo] -> mask not yet expanded
-	hits    []uint64   // [node-lo] -> mask of sources hitting node finally
-	hitLev  []int32    // [(node-lo)*64+srcbit] -> first-hit level (nil unless requested)
-	final   []int8     // [id] -> -1 unknown / 0 no / 1 yes
-	local   [][]int32  // [id] -> per-symbol transition row (lock-free copy)
-
-	frontier, next []batchCfg
-	masks          []uint64  // per-frontier-entry pend snapshot (scratch, see expand)
-	outbox         [][]exMsg // [dst shard] -> exported configurations
+	*shardScratch
+	hitLev []int32   // [(node-lo)*64+srcbit] -> first-hit level (nil unless requested)
+	final  []int8    // [id] -> -1 unknown / 0 no / 1 yes
+	local  [][]int32 // [id] -> per-symbol transition row (lock-free copy)
+	outbox [][]exMsg // [dst shard] -> exported configurations
 
 	edges     uint64 // product edges expanded
 	exchanged uint64 // configurations exported cross-shard
@@ -169,6 +216,9 @@ func (w *shardWorker) state(id int32) ([]uint64, []uint64) {
 		sz := int(w.hi - w.lo)
 		w.visited[id] = make([]uint64, sz)
 		w.pend[id] = make([]uint64, sz)
+	}
+	if int(id) >= w.used {
+		w.used = int(id) + 1
 	}
 	return w.visited[id], w.pend[id]
 }
@@ -293,21 +343,6 @@ func (w *shardWorker) expand() {
 		}
 	}
 	w.frontier = w.frontier[:0]
-}
-
-// reset clears the per-batch state (visited/pend masks, hits, frontiers)
-// while keeping the batch-independent final/transition caches and all
-// allocated storage.
-func (w *shardWorker) reset() {
-	for i := range w.visited {
-		if w.visited[i] != nil {
-			clear(w.visited[i])
-			clear(w.pend[i])
-		}
-	}
-	clear(w.hits)
-	w.frontier = w.frontier[:0]
-	w.next = w.next[:0]
 }
 
 // barrier is a reusable counting barrier for the level-synchronous workers.
@@ -473,10 +508,14 @@ func ReachBatchEx(ix *graph.Index, part *graph.Partition, c *automata.SubsetCach
 	for _, w := range workers {
 		w.ix, w.c, w.forward, w.nSyms = ix, c, forward, int32(ix.NumSyms())
 		w.bud = bud
-		w.hits = make([]uint64, int(w.hi-w.lo))
+		w.shardScratch = getScratch(int(w.hi - w.lo))
 		if opts.Levels {
-			w.hitLev = make([]int32, int(w.hi-w.lo)*64)
+			if w.levBuf == nil {
+				w.levBuf = make([]int32, int(w.hi-w.lo)*64)
+			}
+			w.hitLev = w.levBuf
 		}
+		defer putScratch(w.shardScratch)
 	}
 	startID := c.Start()
 	var batches, seeded uint64

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
@@ -79,6 +80,34 @@ func TestReachBatchMatchesReach(t *testing.T) {
 // TestReachBatchManySources covers the MS-BFS batch boundary: more sources
 // than one machine word, duplicates (each gets its own result), and
 // out-of-range sources (nil, like Reach).
+// TestReachBatchReusesScratch runs the kernel back to back on one graph,
+// so every call draws shard scratch a previous call handed back — after a
+// budget-cut sweep, and across automata with different set-id counts, with
+// and without levels. Pooled scratch must come back clean: every result
+// must equal the per-source Reach.
+func TestReachBatchReusesScratch(t *testing.T) {
+	db := workload.GMark(5, 400)
+	ix, part := db.Index(), db.Partition(2)
+	srcs := make([]int, db.NumNodes())
+	for i := range srcs {
+		srcs[i] = i
+	}
+	compile := func(rx string) *automata.SubsetCache {
+		return automata.NewSubsetCache(xregex.MustCompile(xregex.MustParse(rx), []rune("abc")))
+	}
+	cut := engine.NewBudget(nil, time.Now().Add(50*time.Microsecond), 0)
+	engine.ReachBatchEx(ix, part, compile("(a|b|c)*c"), srcs, true, engine.BatchOpts{Budget: cut, Levels: true})
+	for i, rx := range []string{"a(b|c)*", "b+", "(a|b)c*a", "c*", "(a|b|c)*c"} {
+		c := compile(rx)
+		res := engine.ReachBatchEx(ix, part, c, srcs, true, engine.BatchOpts{Levels: i%2 == 0})
+		for j, src := range srcs {
+			if want := engine.Reach(ix, c, src, true); !equalInts(res.Hits[j], want) {
+				t.Fatalf("%s: src %d: got %v want %v", rx, src, res.Hits[j], want)
+			}
+		}
+	}
+}
+
 func TestReachBatchManySources(t *testing.T) {
 	db := workload.Random(3, 200, 900, "ab")
 	ix := db.Index()

@@ -457,23 +457,30 @@ func E18PathSemantics(scale int) *Table {
 	return t
 }
 
+// Experiment is one entry of the experiment index: the ID its table
+// reports and the function that runs it at a given scale.
+type Experiment struct {
+	ID  string
+	Run func(scale int) *Table
+}
+
 // Registry lists every experiment in index order; All, AllTimed and the
 // benchmark JSON emitter all run from it.
-var Registry = []func(int) *Table{
-	E01Figure1, E02Figure2, E03Theorem1, E04Theorem3,
-	E05NormalForm, E06VsfEval, E07VsfFlat, E08BoundedEval,
-	E09HittingSet, E10LogBounded, E11Figure5, E12Separations,
-	E13Fig7, E14Lemma12, E15Lemma13, E16Lemma14,
-	E17Ablations, E18PathSemantics, E19PreparedReuse, E20PlannerJoin,
-	E21IncrementalUpdate, E22ShardedReach, E23TimeToFirstRow,
-	E24SnapshotReadsUnderWrites, E25PlannerV2, E26RankedTTFR,
+var Registry = []Experiment{
+	{"E1", E01Figure1}, {"E2", E02Figure2}, {"E3", E03Theorem1}, {"E4", E04Theorem3},
+	{"E5", E05NormalForm}, {"E6", E06VsfEval}, {"E7", E07VsfFlat}, {"E8", E08BoundedEval},
+	{"E9", E09HittingSet}, {"E10", E10LogBounded}, {"E11", E11Figure5}, {"E12", E12Separations},
+	{"E13", E13Fig7}, {"E14", E14Lemma12}, {"E15", E15Lemma13}, {"E16", E16Lemma14},
+	{"E17", E17Ablations}, {"E18", E18PathSemantics}, {"E19", E19PreparedReuse}, {"E20", E20PlannerJoin},
+	{"E21", E21IncrementalUpdate}, {"E22", E22ShardedReach}, {"E23", E23TimeToFirstRow},
+	{"E24", E24SnapshotReadsUnderWrites}, {"E25", E25PlannerV2}, {"E26", E26RankedTTFR},
 }
 
 // All runs every experiment at the given scale.
 func All(scale int) []*Table {
 	out := make([]*Table, len(Registry))
-	for i, f := range Registry {
-		out[i] = f(scale)
+	for i, x := range Registry {
+		out[i] = x.Run(scale)
 	}
 	return out
 }

@@ -10,7 +10,10 @@ func TestAllExperimentsScale1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	for _, tbl := range All(1) {
+	for i, tbl := range All(1) {
+		if tbl.ID != Registry[i].ID {
+			t.Errorf("registry entry %s reports table %s", Registry[i].ID, tbl.ID)
+		}
 		if tbl.Err != nil {
 			t.Errorf("%s: %v", tbl.ID, tbl.Err)
 			continue
@@ -22,6 +25,28 @@ func TestAllExperimentsScale1(t *testing.T) {
 		if !strings.Contains(out, tbl.ID) {
 			t.Errorf("%s: render missing ID", tbl.ID)
 		}
+	}
+}
+
+// AllTimed runs exactly the selected experiments, in index order, and
+// rejects an unknown ID before running anything.
+func TestAllTimedSelects(t *testing.T) {
+	tts, err := AllTimed(1, "e4", "E1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tt := range tts {
+		got = append(got, tt.Table.ID)
+	}
+	if strings.Join(got, ",") != "E1,E4" {
+		t.Fatalf("ran %v, want [E1 E4]", got)
+	}
+	if rep := Report(tts, 1); len(rep.Results) != 2 {
+		t.Fatalf("report lists %d experiments, want 2", len(rep.Results))
+	}
+	if _, err := AllTimed(1, "E1", "E99"); err == nil {
+		t.Fatal("unknown experiment ID accepted")
 	}
 }
 

@@ -2,7 +2,10 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -12,15 +15,29 @@ type TimedTable struct {
 	Millis float64
 }
 
-// AllTimed runs every experiment at the given scale, timing each.
-func AllTimed(scale int) []TimedTable {
-	out := make([]TimedTable, len(Registry))
-	for i, f := range Registry {
-		start := time.Now()
-		t := f(scale)
-		out[i] = TimedTable{Table: t, Millis: float64(time.Since(start).Microseconds()) / 1000}
+// AllTimed runs the experiments named by ids (case-insensitive; all of
+// them when ids is empty) at the given scale in index order, timing each.
+// An ID that names no experiment is an error, reported before anything
+// runs.
+func AllTimed(scale int, ids ...string) ([]TimedTable, error) {
+	pick := make([]bool, len(Registry))
+	for _, id := range ids {
+		i := slices.IndexFunc(Registry, func(x Experiment) bool { return strings.EqualFold(x.ID, id) })
+		if i < 0 {
+			return nil, fmt.Errorf("exp: unknown experiment %q", id)
+		}
+		pick[i] = true
 	}
-	return out
+	var out []TimedTable
+	for i, x := range Registry {
+		if len(ids) > 0 && !pick[i] {
+			continue
+		}
+		start := time.Now()
+		t := x.Run(scale)
+		out = append(out, TimedTable{Table: t, Millis: float64(time.Since(start).Microseconds()) / 1000})
+	}
+	return out, nil
 }
 
 // BenchResult is one experiment's entry in the machine-readable benchmark
