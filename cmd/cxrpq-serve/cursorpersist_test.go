@@ -200,6 +200,10 @@ func TestQueryWeights(t *testing.T) {
 	}
 }
 
+// budgetScale multiplies the wall-clock deadlines tests assert (10 under the
+// race detector, see race_test.go).
+var budgetScale = 1
+
 // A ranked cursor whose deadline expires mid-pagination serves the rows it
 // had collected and flags every remaining page "truncated": the JSON must
 // carry the flag end to end, so a deadline-cut ranked result can never read
@@ -218,7 +222,7 @@ func TestServerRankedDeadlinePageTruncated(t *testing.T) {
 
 	// First page: the incremental ranked stream surfaces one row well within
 	// the deadline and parks.
-	body := `{"db":"big","query":"ans(x, z)\nx y : a+\ny z : b+","ranked":true,"limit":1,"deadline_ms":250}`
+	body := fmt.Sprintf(`{"db":"big","query":"ans(x, z)\nx y : a+\ny z : b+","ranked":true,"limit":1,"deadline_ms":%d}`, 250*budgetScale)
 	code, p1 := postJSON(t, ts.URL+"/query", body)
 	if code != http.StatusOK || p1["cursor"] == nil || p1["count"].(float64) != 1 {
 		t.Fatalf("page 1: %d %v", code, p1)
@@ -227,7 +231,7 @@ func TestServerRankedDeadlinePageTruncated(t *testing.T) {
 
 	// The deadline covers the cursor's lifetime: once it passes, the next
 	// page must say truncated, not pretend the stream completed.
-	time.Sleep(600 * time.Millisecond)
+	time.Sleep(600 * time.Millisecond * time.Duration(budgetScale))
 	code, p2 := postJSON(t, ts.URL+"/query", `{"cursor":"`+tok+`","limit":1048576}`)
 	if code != http.StatusOK {
 		t.Fatalf("page 2: %d %v", code, p2)

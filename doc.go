@@ -80,7 +80,13 @@
 //	                     baselines
 //	internal/crpq        CRPQs (Lemma 1 evaluation)
 //	internal/ecrpq       ECRPQs with regular relations; ECRPQ^er is the
-//	                     synchronized-product evaluation core
+//	                     synchronized-product evaluation core; join.go is
+//	                     its one backtracking join operator (atom order,
+//	                     projection cuts, budget poll, output projection)
+//	                     over lazy memoized or materialized atom
+//	                     relations, behind the evaluator's streams, the
+//	                     bounded engine's leaf joins, any-k and the
+//	                     witness search
 //	internal/cxrpq       the paper's contribution: CXRPQs, their fragments,
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
@@ -106,7 +112,7 @@
 //	                     Session.PlanReport exposes the chosen join order
 //	                     with estimated cardinalities, and Session.Stream
 //	                     (stream.go) is the pull-based any-k surface: a
-//	                     Cursor serving Fetch/Next pages from a lazy
+//	                     Cursor serving Fetch/Next pages from the lazy
 //	                     backtracking join (atom relations computed in
 //	                     growing source chunks, so the first row costs one
 //	                     shallow probe; unranked joins skip dead bindings

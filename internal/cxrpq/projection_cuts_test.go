@@ -20,6 +20,7 @@ import (
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/oracle"
 	"cxrpq/internal/pattern"
@@ -296,4 +297,39 @@ func TestReadColdStarDrainsUnderBudget(t *testing.T) {
 		t.Fatalf("streamed %d rows (%d distinct), Eval has %d", len(rows), len(firstSeen(rows)), want.Len())
 	}
 	t.Logf("drained %d rows in %v", len(rows), elapsed)
+}
+
+// TestEqualityProductHonorsBudget pins the budget poll of the equality
+// product's source loop. A group whose source variables are unbound walks
+// up to n² source tuples, one product search each; polled only between
+// BFS levels of each search, a 20 ms budget on gMark-1200 overran to
+// seconds. The shapes are the read-cold equality variants.
+func TestEqualityProductHonorsBudget(t *testing.T) {
+	db := workload.GMark(1, 1200)
+	budget := 20 * time.Millisecond * budgetScale
+	bound := 500 * time.Millisecond * budgetScale
+	for _, tc := range []struct {
+		src      string
+		boolOnly bool
+	}{
+		{"ans(x, y)\nx m : $v{a|b}\nm y : $v c", true},
+		{"ans(x, y)\nx m : $v{a|b}\nm y : $v c", false},
+		{"ans(x, y)\nx m : $v{b|c}\nm y : $v", false},
+	} {
+		eq, err := cxrpq.SimpleToECRPQer(cxrpq.MustParse(tc.src), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		bud := engine.NewBudget(nil, start.Add(budget), 0)
+		if tc.boolOnly {
+			_, err = ecrpq.EvalBoolBudget(eq, db, bud)
+		} else {
+			_, err = ecrpq.EvalBudget(eq, db, bud)
+		}
+		elapsed := time.Since(start)
+		if elapsed > bound {
+			t.Errorf("%q (bool=%v) under a %v budget returned after %v (err %v)", tc.src, tc.boolOnly, budget, elapsed, err)
+		}
+	}
 }

@@ -50,40 +50,24 @@ type anykExt struct {
 }
 
 // anykRoot is one independent enumeration source feeding the shared heap:
-// either a query-form root (an evaluator, expansions through
-// satisfyEdgeCost/satisfyGroupCost) or a join-form root (a relation-free
-// pattern over materialized EdgeRels, the bounded engine's leaf shape).
+// a join over one atom list (the evaluator's atoms for AddQuery, atoms over
+// materialized EdgeRels for AddJoin), whose extension lists come from the
+// atoms' binding steps (join.go).
 type anykRoot struct {
-	bud *engine.Budget
-
-	// query form (ev != nil)
-	ev    *evaluator
-	order []constraintRef
-
-	// join form
-	g      *pattern.Graph
-	rels   []*EdgeRel
-	jorder []int
-
-	out  []string
-	vars [][]string // per order position: the constraint's variable set (unique)
-	lb   []int32    // lb[i] = admissible lower bound of constraints i..end; lb[len] = 0
-	memo map[string][]anykExt
+	bud   *engine.Budget
+	atoms []joinAtom
+	out   []string
+	vars  [][]string // per order position: the atom's variable set (unique)
+	lb    []int32    // lb[i] = admissible lower bound of atoms i..end; lb[len] = 0
+	memo  map[string][]anykExt
 
 	hint    []int     // per order position: last extension-list length (presize hint)
 	scratch []anykExt // counting-sort scratch, reused across extends
 }
 
-func (rt *anykRoot) orderLen() int {
-	if rt.ev != nil {
-		return len(rt.order)
-	}
-	return len(rt.jorder)
-}
-
 // anykNode is one node of the Lawler partition tree: constraints before ci
 // are determined in assign at total witness cost cost, and the node stands
-// for choosing extension rank of constraint ci (a node with ci == orderLen
+// for choosing extension rank of constraint ci (a node with ci == len(atoms)
 // is a complete assignment). assign is shared with the node's siblings —
 // only child creation copies it.
 type anykNode struct {
@@ -134,7 +118,7 @@ func uniqueVars(names ...string) []string {
 	return out
 }
 
-// edgeMinCost is the admissible per-atom bound for a query-form edge: 0 when
+// edgeMinCost is the admissible per-atom bound for an evaluator edge: 0 when
 // the edge language accepts the empty word (a node can witness itself for
 // free), otherwise the cheapest single traversal — 1 under unit cost, the
 // minimum clamped symbol weight under a pluggable weight.
@@ -159,80 +143,55 @@ func (ev *evaluator) edgeMinCost(ei int) int32 {
 	return min
 }
 
-// AddQuery adds a query-form root: q enumerated over db under the
-// enumerator's budget, ranked, with an optional pluggable edge weight.
+// AddQuery adds a root enumerating q over db under the enumerator's
+// budget, ranked, with an optional pluggable edge weight.
 func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
 	ev, err := newEvaluator(q, db)
 	if err != nil {
 		return err
 	}
 	ev.bud, ev.ranked, ev.lazy, ev.weight = a.bud, true, true, weight
-	order := ev.constraintOrder(nil)
-	rt := &anykRoot{
-		bud:   a.bud,
-		ev:    ev,
-		order: order,
-		out:   q.Pattern.Out,
-		vars:  make([][]string, len(order)),
-		lb:    make([]int32, len(order)+1),
-		memo:  map[string][]anykExt{},
-	}
-	for i, c := range order {
-		if c.kind == cEdge {
-			e := q.Pattern.Edges[c.idx]
-			rt.vars[i] = uniqueVars(e.From, e.To)
-		} else {
-			g := q.Groups[c.idx]
-			names := make([]string, 0, 2*len(g.Edges))
-			for _, ei := range g.Edges {
-				names = append(names, q.Pattern.Edges[ei].From, q.Pattern.Edges[ei].To)
-			}
-			rt.vars[i] = uniqueVars(names...)
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		min := int32(0)
-		if order[i].kind == cEdge {
-			min = ev.edgeMinCost(order[i].idx)
-		}
-		rt.lb[i] = rt.lb[i+1] + min
-	}
-	a.pushNode(anykNode{root: rt, assign: map[string]int{}}, rt.lb[0])
+	a.addRoot(ev.constraintOrder(nil), nil, q.Pattern.Out)
 	return nil
 }
 
-// AddJoin adds a join-form root: a relation-free pattern joined over
-// materialized per-edge relations in the physical plan's order (nil spec
-// falls back to the structural JoinOrder), with the variables of pre
-// pre-bound. The relations should carry levels (RelationForW) for the costs
-// to be meaningful; level-free relations enumerate at cost 0.
+// AddJoin adds a root joining a relation-free pattern over materialized
+// per-edge relations in the physical plan's order (nil spec falls back to
+// the structural JoinOrder), with the variables of pre pre-bound. The
+// relations should carry levels (RelationForW) for the costs to be
+// meaningful; level-free relations enumerate at cost 0. A nil relation
+// makes the join empty.
 func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int) {
-	var jorder []int
+	var order []int
 	if spec != nil {
-		jorder = spec.Order
+		order = spec.Order
 	} else {
-		jorder = JoinOrder(g, pre)
+		order = JoinOrder(g, pre)
 	}
-	rt := &anykRoot{
-		bud:    a.bud,
-		g:      g,
-		rels:   rels,
-		jorder: jorder,
-		out:    g.Out,
-		vars:   make([][]string, len(jorder)),
-		lb:     make([]int32, len(jorder)+1),
-		memo:   map[string][]anykExt{},
-	}
-	for i, ei := range jorder {
-		e := g.Edges[ei]
-		rt.vars[i] = uniqueVars(e.From, e.To)
-	}
-	for i := len(jorder) - 1; i >= 0; i-- {
-		min := int32(0)
-		if r := rels[jorder[i]]; r != nil {
-			min = r.MinDist()
+	atoms := make([]joinAtom, len(order))
+	for ci, ei := range order {
+		if rels[ei] == nil {
+			return
 		}
-		rt.lb[i] = rt.lb[i+1] + min
+		atoms[ci] = relAtom(g.Edges[ei], rels[ei], nil)
+	}
+	a.addRoot(atoms, pre, g.Out)
+}
+
+// addRoot pushes the partition-tree root of a join over atoms.
+func (a *AnyK) addRoot(atoms []joinAtom, pre map[string]int, out []string) {
+	rt := &anykRoot{
+		bud:   a.bud,
+		atoms: atoms,
+		out:   out,
+		vars:  make([][]string, len(atoms)),
+		lb:    make([]int32, len(atoms)+1),
+		memo:  map[string][]anykExt{},
+		hint:  make([]int, len(atoms)),
+	}
+	for i := len(atoms) - 1; i >= 0; i-- {
+		rt.vars[i] = uniqueVars(atoms[i].vars()...)
+		rt.lb[i] = rt.lb[i+1] + atoms[i].minCost()
 	}
 	assign := make(map[string]int, len(pre))
 	for z, v := range pre {
@@ -243,7 +202,7 @@ func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec
 
 // extKey identifies an extension list: the constraint position plus the
 // bound-or-not value of each of its variables (the only parts of assign the
-// satisfy paths read).
+// binding step reads).
 func (rt *anykRoot) extKey(ci int, assign map[string]int) string {
 	buf := make([]byte, 0, 2+5*len(rt.vars[ci]))
 	buf = binary.AppendVarint(buf, int64(ci))
@@ -269,30 +228,17 @@ func (rt *anykRoot) extend(ci int, assign map[string]int) []anykExt {
 	// Presize from the previous list of the same constraint: siblings in the
 	// partition tree materialize lists of similar length, and append-doubling
 	// on the ~1k-wide cohort lists used to dominate allocation churn.
-	if rt.hint == nil {
-		rt.hint = make([]int, rt.orderLen())
-	}
 	h := rt.hint[ci]
 	exts := make([]anykExt, 0, h)
 	slab := make([]int, 0, h*len(vars)) // one backing array for every value tuple
-	collect := func(d int) {
+	rt.atoms[ci].bind(assign, nil, rt.bud, func(d int) bool {
 		base := len(slab)
 		for _, z := range vars {
-			slab = append(slab, assign[z]) // every constraint var is bound at yield time
+			slab = append(slab, assign[z]) // every atom var is bound at yield time
 		}
 		exts = append(exts, anykExt{d: int32(d), vals: slab[base:len(slab):len(slab)]})
-	}
-	if rt.ev != nil {
-		c := rt.order[ci]
-		all := func(d int) bool { collect(d); return true }
-		if c.kind == cEdge {
-			rt.ev.satisfyEdgeCost(c.idx, assign, nil, all)
-		} else {
-			rt.ev.satisfyGroupCost(c.idx, assign, nil, all)
-		}
-	} else {
-		rt.extendJoin(ci, assign, collect)
-	}
+		return true
+	})
 	rt.hint[ci] = len(exts)
 	rt.sortExts(exts)
 	if !rt.bud.Canceled() {
@@ -312,16 +258,15 @@ func (rt *anykRoot) extend(ci int, assign map[string]int) []anykExt {
 // distinct sources and fills the evaluator's memos in one ReachBatchEx
 // call. Extensions beyond the cheapest cohort are left to fault in lazily —
 // under distinct costs (e.g. pluggable weights) the cohort is one node and
-// the prefetch degenerates to a no-op.
+// the prefetch degenerates to a no-op, as it is for materialized relations.
 func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) {
-	if rt.ev == nil || ci+1 >= len(rt.order) || len(exts) < 2 {
+	if ci+1 >= len(rt.atoms) || len(exts) < 2 {
 		return
 	}
-	c := rt.order[ci+1]
-	if c.kind != cEdge {
+	e, ok := rt.atoms[ci+1].(*binAtom)
+	if !ok {
 		return
 	}
-	e := rt.ev.q.Pattern.Edges[c.idx]
 	pos := func(z string) int {
 		for i, y := range rt.vars[ci] {
 			if y == z {
@@ -330,9 +275,9 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) 
 		}
 		return -1
 	}
-	_, fromBound := assign[e.From]
-	_, toBound := assign[e.To]
-	fi, ti := pos(e.From), pos(e.To)
+	_, fromBound := assign[e.from]
+	_, toBound := assign[e.to]
+	fi, ti := pos(e.from), pos(e.to)
 	fromKnown, toKnown := fromBound || fi >= 0, toBound || ti >= 0
 	if fromKnown == toKnown {
 		return // both or neither endpoint determined: not a single-source sweep
@@ -359,15 +304,11 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) 
 	if len(srcs) < 2 {
 		return
 	}
-	if fromKnown {
-		rt.ev.ensureForward(c.idx, srcs)
-	} else {
-		rt.ev.ensureBackward(c.idx, srcs)
-	}
+	e.rel.prefetch(srcs, fromKnown)
 }
 
 // sortExts orders an extension list by cost, stably (within a cost, the
-// satisfy paths' deterministic enumeration order is preserved — rank
+// binding steps' deterministic enumeration order is preserved — rank
 // indexing and cursor fast-forward both depend on it). Costs are small BFS
 // levels or clamped weighted distances, so the common case is a stable
 // counting sort into a root-owned scratch buffer — extension sorting used to
@@ -414,63 +355,6 @@ func (rt *anykRoot) sortExts(exts []anykExt) {
 	copy(exts, out)
 }
 
-// extendJoin enumerates the satisfying bindings of join-form atom ci,
-// passing each one's Dist to collect with the binding transiently applied to
-// assign (mirroring the satisfyEdgeCost contract).
-func (rt *anykRoot) extendJoin(ci int, assign map[string]int, collect func(d int)) {
-	ei := rt.jorder[ci]
-	e := rt.g.Edges[ei]
-	r := rt.rels[ei]
-	if r == nil {
-		return
-	}
-	u, uok := assign[e.From]
-	v, vok := assign[e.To]
-	switch {
-	case uok && vok:
-		if r.Has(u, v) {
-			collect(int(r.Dist(u, v)))
-		}
-	case uok:
-		for i, w := range r.Forward(u) {
-			assign[e.To] = w
-			collect(int(r.levAt(u, i)))
-		}
-		delete(assign, e.To)
-	case vok:
-		for _, w := range r.Backward(v) {
-			assign[e.From] = w
-			collect(int(r.Dist(w, v)))
-		}
-		delete(assign, e.From)
-	default:
-		for u := 0; u < r.NumNodes(); u++ {
-			if rt.bud.Canceled() {
-				break
-			}
-			ws := r.Forward(u)
-			if len(ws) == 0 {
-				continue
-			}
-			assign[e.From] = u
-			if e.From == e.To {
-				for i, w := range ws {
-					if w == u {
-						collect(int(r.levAt(u, i)))
-					}
-				}
-				continue
-			}
-			for i, w := range ws {
-				assign[e.To] = w
-				collect(int(r.levAt(u, i)))
-			}
-			delete(assign, e.To)
-		}
-		delete(assign, e.From)
-	}
-}
-
 // Next pops the next complete assignment's output projection and exact
 // witness cost, in globally nondecreasing cost across every root. ok is
 // false when the space is exhausted or the budget canceled — the caller
@@ -483,7 +367,7 @@ func (a *AnyK) Next() (pattern.Tuple, int, bool) {
 		it := a.h.pop()
 		nd := a.nodes[it.idx] // copy: pushNode below may grow the slab
 		rt := nd.root
-		if nd.ci == rt.orderLen() {
+		if nd.ci == len(rt.atoms) {
 			t := make(pattern.Tuple, len(rt.out))
 			ok := true
 			for i, z := range rt.out {

@@ -26,6 +26,7 @@ type EdgeRel struct {
 
 	revOnce sync.Once
 	rev     [][]int
+	rlev    [][]int32 // parallel to rev when the relation carries levels
 
 	estOnce sync.Once
 	est     planner.Estimate
@@ -167,15 +168,6 @@ func (r *EdgeRel) MinDist() int32 {
 	return r.min
 }
 
-// levAt returns the level of Forward(u)[i] by position, skipping the binary
-// search Dist pays (0 when the relation carries no levels).
-func (r *EdgeRel) levAt(u, i int) int32 {
-	if r.lev == nil || r.lev[u] == nil {
-		return 0
-	}
-	return r.lev[u][i]
-}
-
 // Empty reports whether the relation holds for no pair at all.
 func (r *EdgeRel) Empty() bool { return r.size == 0 }
 
@@ -197,18 +189,62 @@ func (r *EdgeRel) Forward(u int) []int {
 // Backward returns the sorted sources that reach v, building the reverse
 // index from the forward lists on first use (no second automaton pass).
 func (r *EdgeRel) Backward(v int) []int {
+	us, _ := r.backward(v)
+	return us
+}
+
+// backward is Backward plus the levels parallel to the sources (nil without
+// levels).
+func (r *EdgeRel) backward(v int) ([]int, []int32) {
 	r.revOnce.Do(func() {
 		r.rev = make([][]int, len(r.fwd))
+		if r.lev != nil {
+			r.rlev = make([][]int32, len(r.fwd))
+		}
 		for u, vs := range r.fwd {
-			for _, w := range vs {
+			for i, w := range vs {
 				r.rev[w] = append(r.rev[w], u) // u ascending ⇒ lists sorted
+				if r.lev != nil {
+					r.rlev[w] = append(r.rlev[w], r.lev[u][i])
+				}
 			}
 		}
 	})
 	if v < 0 || v >= len(r.rev) {
-		return nil
+		return nil, nil
 	}
-	return r.rev[v]
+	if r.rlev == nil {
+		return r.rev[v], nil
+	}
+	return r.rev[v], r.rlev[v]
+}
+
+// next, hasPath, prefetch and minCost make a materialized relation an
+// atomRel (join.go): its rows are already computed, so prefetch has
+// nothing to do.
+func (r *EdgeRel) next(x int, fwd bool) ([]int, []int32) {
+	if !fwd {
+		return r.backward(x)
+	}
+	if r.lev == nil || x < 0 || x >= len(r.lev) {
+		return r.Forward(x), nil
+	}
+	return r.Forward(x), r.lev[x]
+}
+
+func (r *EdgeRel) hasPath(x int, fwd bool) bool {
+	ws, _ := r.next(x, fwd)
+	return len(ws) > 0
+}
+
+func (r *EdgeRel) prefetch([]int, bool) {}
+
+func (r *EdgeRel) minCost() int32 { return r.MinDist() }
+
+// relAtom returns the binary join atom of edge e over relation r, its
+// endpoints restricted to the candidate domains dom (nil: unrestricted).
+func relAtom(e pattern.Edge, r *EdgeRel, dom *planner.Domains) *binAtom {
+	return &binAtom{from: e.From, to: e.To, n: r.NumNodes(), rel: r, dom: dom}
 }
 
 // Has reports whether (u, v) is in the relation.
@@ -337,13 +373,8 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pr
 // assignments, and the caller (the bounded engine merges many leaf joins
 // anyway) owns dedup and min-cost selection.
 //
-// Cut contract (unranked joins, i.e. relations without levels; see
-// cuts.go): the backtracking branch binds a dead variable — read by no
-// output and no later atom — to one witness value only, and once every
-// output variable is bound it runs the rest of the order as an existence
-// check that unwinds at the first completion. Only repeats are skipped:
-// the distinct tuples and the order of their first appearance are those
-// of the uncut join. Joins over leveled relations enumerate every binding.
+// The backtracking branch is the join operator of join.go, cut by the
+// projection (see backtrack) unless the relations carry levels.
 func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, bud *engine.Budget, yield func(t pattern.Tuple, cost int) bool) {
 	var order []int
 	if spec != nil {
@@ -412,127 +443,9 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 		}
 		dom = d
 	}
-	vars := make([][]string, len(order))
+	atoms := make([]joinAtom, len(order))
 	for ci, ei := range order {
-		vars[ci] = []string{g.Edges[ei].From, g.Edges[ei].To}
+		atoms[ci] = relAtom(g.Edges[ei], rels[ei], dom)
 	}
-	cuts := projectionCuts(vars, pre, g.Out, ranked)
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
-	}
-	stop := false
-	// rec reports whether the subtree below constraint ci completed at
-	// least once; step continues it with one binding and reports whether
-	// constraint ci should try its next binding.
-	var rec func(ci, cost int) bool
-	rec = func(ci, cost int) bool {
-		if stop {
-			return false
-		}
-		if ci == len(order) {
-			t := make(pattern.Tuple, len(g.Out))
-			for i, z := range g.Out {
-				v, ok := assign[z]
-				if !ok {
-					return false // output var not constrained; Validate prevents this
-				}
-				t[i] = v
-			}
-			if !yield(t, cost) {
-				stop = true
-			}
-			return true
-		}
-		if bud.Canceled() {
-			stop = true
-			return false
-		}
-		ei := order[ci]
-		e := g.Edges[ei]
-		r := rels[ei]
-		dead := cuts.dead[ci]
-		found := false
-		step := func(d int) bool {
-			if rec(ci+1, cost+d) {
-				found = true
-			}
-			return !stop && !(found && ci >= cuts.exist)
-		}
-		u, uok := assign[e.From]
-		v, vok := assign[e.To]
-		switch {
-		case uok && vok:
-			if r.Has(u, v) {
-				step(int(r.Dist(u, v)))
-			}
-		case uok:
-			for _, w := range r.Forward(u) {
-				if !dom.Has(e.To, w) {
-					continue
-				}
-				assign[e.To] = w
-				if !step(int(r.Dist(u, w))) || dead[e.To] {
-					break
-				}
-			}
-			delete(assign, e.To)
-		case vok:
-			for _, w := range r.Backward(v) {
-				if !dom.Has(e.From, w) {
-					continue
-				}
-				assign[e.From] = w
-				if !step(int(r.Dist(w, v))) || dead[e.From] {
-					break
-				}
-			}
-			delete(assign, e.From)
-		default:
-			// A dead source is bound by its first witness per target
-			// (targets already continued are skipped); a dead target by
-			// the first target per source.
-			deadFrom, deadTo := dead[e.From], dead[e.To]
-			done := newTargetSet(dead, e.From, e.To, r.NumNodes())
-			more := true
-			for u := 0; u < r.NumNodes() && more; u++ {
-				if !dom.Has(e.From, u) {
-					continue
-				}
-				if e.From == e.To {
-					if r.Has(u, u) {
-						assign[e.From] = u
-						more = step(int(r.Dist(u, u))) && !deadFrom
-					}
-					continue
-				}
-				ws := r.Forward(u)
-				if len(ws) == 0 {
-					continue
-				}
-				assign[e.From] = u
-				for _, w := range ws {
-					if !dom.Has(e.To, w) {
-						continue
-					}
-					if !done.admit(w) {
-						continue
-					}
-					assign[e.To] = w
-					if !step(int(r.Dist(u, w))) {
-						more = false
-						break
-					}
-					if deadTo {
-						more = !deadFrom
-						break
-					}
-				}
-				delete(assign, e.To)
-			}
-			delete(assign, e.From)
-		}
-		return found
-	}
-	rec(0, 0)
+	backtrack(atoms, pre, g.Out, !ranked, bud, yield)
 }

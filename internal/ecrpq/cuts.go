@@ -1,9 +1,8 @@
 package ecrpq
 
-// Projection cuts for the unranked backtracking joins (evaluator.runStream
-// and the backtracking branch of JoinRelationsStream). An unranked join
-// only reports the output projection of each completed assignment, so two
-// kinds of work are invisible in its answer:
+// Projection cuts for the unranked backtracking join (backtrack, join.go).
+// An unranked join only reports the output projection of each completed
+// assignment, so two kinds of work are invisible in its answer:
 //
 //   - Dead bindings. A variable that is not an output variable and that no
 //     later constraint reads can take any satisfying value: the subtree
@@ -17,8 +16,8 @@ package ecrpq
 // Both cuts skip only completions that would have been duplicates, and the
 // skipped ones come after the first occurrence they duplicate, so the set of
 // answers and the order in which each answer first appears are unchanged.
-// Ranked joins (and any-k, and the witness searches) need every binding —
-// each contributes a witness cost — and run without cuts.
+// Ranked joins need every binding — each contributes a witness cost — and
+// run without cuts, as do any-k's extension lists and the witness search.
 
 // joinCuts is the cut schedule of one join order, computed once per join by
 // projectionCuts.

@@ -2,7 +2,6 @@ package ecrpq
 
 import (
 	"encoding/binary"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -407,12 +406,6 @@ func (ev *evaluator) hasPath(ei, x int, forward bool) bool {
 	return ok
 }
 
-func (ev *evaluator) hasEdgePath(ei, u, v int) bool {
-	ws := ev.forward(ei, u)
-	i := sort.SearchInts(ws, v)
-	return i < len(ws) && ws[i] == v
-}
-
 // intsKey encodes an integer tuple as a compact binary map key.
 func intsKey[T interface{ ~int | ~int32 }](xs []T) string {
 	buf := make([]byte, 4*len(xs))
@@ -767,9 +760,9 @@ func (ev *evaluator) productNodes(opts [][]int, f func([]int)) {
 // shape crossed with the database's per-label statistics (bound-variable
 // selectivity propagated from pre; the structural most-bound-first greedy
 // when the planner is disabled), then the relation groups follow in query
-// order. This is the single ordering decision shared by run and runCheck —
-// it used to be duplicated, structurally, in both.
-func (ev *evaluator) constraintOrder(pre map[string]int) []constraintRef {
+// order. This is the single ordering decision shared by every evaluator
+// join.
+func (ev *evaluator) constraintOrder(pre map[string]int) []joinAtom {
 	var unary []int
 	for i := range ev.q.Pattern.Edges {
 		if !ev.inGroup[i] && !ev.dropped[i] {
@@ -782,20 +775,30 @@ func (ev *evaluator) constraintOrder(pre map[string]int) []constraintRef {
 		atoms[j] = planner.Atom{From: e.From, To: e.To, Est: ev.ents[ei].shape().Estimate(ev.stats)}
 	}
 	spec := planner.Order(atoms, boundSet(pre))
-	order := make([]constraintRef, 0, len(unary)+len(ev.q.Groups))
-	for _, ai := range spec.Order {
-		order = append(order, constraintRef{kind: cEdge, idx: unary[ai]})
+	edges := make([]int, len(spec.Order))
+	for j, ai := range spec.Order {
+		edges[j] = unary[ai]
+	}
+	return ev.joinAtoms(edges)
+}
+
+// joinAtoms returns the join atoms of the given ungrouped edges, in order,
+// followed by the relation groups in query order.
+func (ev *evaluator) joinAtoms(edges []int) []joinAtom {
+	out := make([]joinAtom, 0, len(edges)+len(ev.q.Groups))
+	for _, ei := range edges {
+		e := ev.q.Pattern.Edges[ei]
+		out = append(out, &binAtom{from: e.From, to: e.To, n: ev.db.NumNodes(), rel: &lazyRel{ev: ev, ei: ei}})
 	}
 	for gi := range ev.q.Groups {
-		order = append(order, constraintRef{kind: cGroup, idx: gi})
+		out = append(out, &groupAtom{ev: ev, gi: gi})
 	}
-	return order
+	return out
 }
 
 // run executes the backtracking join, materializing the result set. If
 // boolOnly, it stops at the first matching assignment. It is the
-// accumulate-everything shim over runStream (stream.go), which is the real
-// enumeration loop.
+// accumulate-everything shim over runStream (stream.go).
 func (ev *evaluator) run(boolOnly bool) (*pattern.TupleSet, error) {
 	out := pattern.NewTupleSet()
 	err := ev.runStream(nil, func(t pattern.Tuple, _ int) bool {
@@ -805,198 +808,70 @@ func (ev *evaluator) run(boolOnly bool) (*pattern.TupleSet, error) {
 	return out, err
 }
 
-type cKind int
-
-const (
-	cEdge cKind = iota
-	cGroup
-)
-
-type constraintRef struct {
-	kind cKind
-	idx  int
+// lazyRel is the atomRel of ungrouped edge ei read through the evaluator's
+// memoized reachability: rows carry BFS levels (or weighted distances) when
+// the evaluator is ranked, a dead endpoint is probed by hasPath, and the
+// both-unbound sweep prefetches each chunk in one batched kernel call (the
+// whole forward memo at once for a non-lazy evaluator).
+type lazyRel struct {
+	ev *evaluator
+	ei int
 }
 
-// constraintVars lists the node variables constraint c reads or binds.
-func (ev *evaluator) constraintVars(c constraintRef) []string {
-	if c.kind == cEdge {
-		e := ev.q.Pattern.Edges[c.idx]
-		return []string{e.From, e.To}
+func (r *lazyRel) next(x int, fwd bool) ([]int, []int32) {
+	switch {
+	case r.ev.ranked && fwd:
+		return r.ev.forwardLev(r.ei, x)
+	case r.ev.ranked:
+		return r.ev.backwardLev(r.ei, x)
+	case fwd:
+		return r.ev.forward(r.ei, x), nil
 	}
+	return r.ev.backward(r.ei, x), nil
+}
+
+func (r *lazyRel) hasPath(x int, fwd bool) bool { return r.ev.hasPath(r.ei, x, fwd) }
+
+func (r *lazyRel) prefetch(xs []int, fwd bool) {
+	switch {
+	case !fwd:
+		r.ev.ensureBackward(r.ei, xs)
+	case r.ev.lazy:
+		r.ev.ensureForward(r.ei, xs)
+	default:
+		r.ev.forwardAll(r.ei)
+	}
+}
+
+func (r *lazyRel) minCost() int32 { return r.ev.edgeMinCost(r.ei) }
+
+// groupAtom is relation group gi of the evaluator's query, the join's
+// second atom kind: its bindings come from the synchronized product
+// (expandGroup).
+type groupAtom struct {
+	ev *evaluator
+	gi int
+}
+
+func (a *groupAtom) vars() []string {
 	var vs []string
-	for _, ei := range ev.q.Groups[c.idx].Edges {
-		e := ev.q.Pattern.Edges[ei]
+	for _, ei := range a.ev.q.Groups[a.gi].Edges {
+		e := a.ev.q.Pattern.Edges[ei]
 		vs = append(vs, e.From, e.To)
 	}
 	return vs
 }
 
-// satisfyEdge is the cost-blind form kept for the witness-reconstruction
-// search; the join paths go through satisfyEdgeCost.
-func (ev *evaluator) satisfyEdge(ei int, assign map[string]int, cont func()) {
-	ev.satisfyEdgeCost(ei, assign, nil, func(int) bool { cont(); return true })
-}
+func (a *groupAtom) minCost() int32 { return 0 }
 
-// satisfyEdgeCost enumerates the edge's satisfying bindings, passing each
-// continuation the edge's witness contribution — the BFS level (shortest
-// matching-path length in graph edges) of the chosen target — when the
-// evaluator is ranked, and 0 otherwise. A false return from cont ends the
-// enumeration. dead holds the endpoint variables the join's projection
-// cuts mark dead at this edge (see cuts.go; nil for none): one witness
-// value stands in for all of a dead variable's bindings, and with every
-// newly bound endpoint dead the lazy sweep stops loading chunks at the
-// first match.
-func (ev *evaluator) satisfyEdgeCost(ei int, assign map[string]int, dead map[string]bool, cont func(cost int) bool) {
-	e := ev.q.Pattern.Edges[ei]
-	u, uok := assign[e.From]
-	v, vok := assign[e.To]
-	switch {
-	case uok && vok:
-		if ev.ranked {
-			ws, ls := ev.forwardLev(ei, u)
-			if i := sort.SearchInts(ws, v); i < len(ws) && ws[i] == v {
-				cont(int(ls[i]))
-			}
-			return
-		}
-		if ev.hasEdgePath(ei, u, v) {
-			cont(0)
-		}
-	case uok:
-		if ev.ranked {
-			ws, ls := ev.forwardLev(ei, u)
-			for i, w := range ws {
-				assign[e.To] = w
-				if !cont(int(ls[i])) {
-					break
-				}
-			}
-		} else if dead[e.To] {
-			if ev.hasPath(ei, u, true) {
-				cont(0)
-			}
-		} else {
-			for _, w := range ev.forward(ei, u) {
-				assign[e.To] = w
-				if !cont(0) {
-					break
-				}
-			}
-		}
-		delete(assign, e.To)
-	case vok:
-		if ev.ranked {
-			us, ls := ev.backwardLev(ei, v)
-			for i, w := range us {
-				assign[e.From] = w
-				if !cont(int(ls[i])) {
-					break
-				}
-			}
-		} else if dead[e.From] {
-			if ev.hasPath(ei, v, false) {
-				cont(0)
-			}
-		} else {
-			for _, w := range ev.backward(ei, v) {
-				assign[e.From] = w
-				if !cont(0) {
-					break
-				}
-			}
-		}
-		delete(assign, e.From)
-	default:
-		// Both ends unbound. The materialized path prefetches every source
-		// in one sharded multi-source sweep; the streaming path walks the
-		// sources in escalating chunks (1, 4, 16, 64, then 256-wide) so the
-		// first row costs one small batch, while the geometric growth keeps
-		// the full drain within a constant factor of the single sweep.
-		n := ev.db.NumNodes()
-		if !ev.lazy {
-			ev.forwardAll(ei)
-		}
-		// A dead source is bound by its first witness per target (targets
-		// already continued are skipped); a dead target by the first
-		// target per source.
-		deadFrom, deadTo := dead[e.From], dead[e.To]
-		done := newTargetSet(dead, e.From, e.To, n)
-		more := true
-		chunk := 1
-		for lo := 0; lo < n && more; {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if ev.lazy {
-				if ev.bud.Canceled() {
-					break
-				}
-				srcs := make([]int, 0, hi-lo)
-				for u := lo; u < hi; u++ {
-					srcs = append(srcs, u)
-				}
-				ev.ensureForward(ei, srcs)
-			}
-			for u := lo; u < hi && more; u++ {
-				assign[e.From] = u
-				var targets []int
-				var levs []int32
-				if ev.ranked {
-					targets, levs = ev.forwardLev(ei, u)
-				} else {
-					targets = ev.forward(ei, u)
-				}
-				cost := func(i int) int {
-					if levs == nil {
-						return 0
-					}
-					return int(levs[i])
-				}
-				if e.From == e.To {
-					if i := sort.SearchInts(targets, u); i < len(targets) && targets[i] == u {
-						more = cont(cost(i)) && !deadFrom
-					}
-					continue
-				}
-				for i, w := range targets {
-					if !done.admit(w) {
-						continue
-					}
-					assign[e.To] = w
-					if !cont(cost(i)) {
-						more = false
-						break
-					}
-					if deadTo {
-						more = !deadFrom
-						break
-					}
-				}
-				delete(assign, e.To)
-			}
-			lo = hi
-			if chunk < 256 {
-				chunk *= 4
-			}
-		}
-		delete(assign, e.From)
-	}
-}
-
-// satisfyGroup is the cost-blind form kept for the witness-reconstruction
-// search; the join paths go through satisfyGroupCost.
-func (ev *evaluator) satisfyGroup(gi int, assign map[string]int, cont func()) {
-	ev.satisfyGroupCost(gi, assign, nil, func(int) bool { cont(); return true })
-}
-
-// satisfyGroupCost enumerates the group's satisfying bindings, passing each
+// bind enumerates the group's satisfying bindings, passing each
 // continuation the group's witness contribution — the synchronized product
-// depth (shared word length) of the chosen end tuple — when ranked. A false
-// return from cont ends the enumeration; when every variable the group
-// binds is in dead (the projection cuts, see cuts.go), the first binding
-// is the only one continued.
-func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, dead map[string]bool, cont func(cost int) bool) {
+// depth (shared word length) of the chosen end tuple — when ranked. When
+// every variable the group binds is dead, the first binding is the only one
+// continued. The budget is polled once per source tuple: a group with
+// unbound sources walks up to n^s of them, each a product search.
+func (a *groupAtom) bind(assign map[string]int, dead map[string]bool, bud *engine.Budget, cont func(cost int) bool) {
+	ev, gi := a.ev, a.gi
 	g := ev.q.Groups[gi]
 	srcVars := make([]string, len(g.Edges))
 	tgtVars := make([]string, len(g.Edges))
@@ -1030,6 +905,10 @@ func (ev *evaluator) satisfyGroupCost(gi int, assign map[string]int, dead map[st
 				bindSrc(i + 1)
 			}
 			delete(assign, unbound[i])
+			return
+		}
+		if bud.Canceled() {
+			more = false
 			return
 		}
 		src := make([]int, len(srcVars))

@@ -90,23 +90,12 @@ func EvalBudget(q *Query, db *graph.DB, bud *engine.Budget) (*pattern.TupleSet, 
 	return res, bud.Err()
 }
 
-// runStream is the single enumeration loop behind every evaluator entry
-// point: a backtracking join over the planner's constraint order with the
-// variables of pre pre-bound, yielding each completed assignment's output
-// projection. The budget is polled on every recursion step, so deadline,
-// row-cap, context and sibling-stop cancellation all cut the search at node
-// granularity (the BFS expansions below additionally poll per level).
-//
-// Cut contract (unranked runs; see cuts.go): a dead variable — bound here,
-// read by no output and no later constraint — is settled by one witness
-// (or an existence probe), and once every output variable is bound the
-// rest of the order runs as an existence check that unwinds at its first
-// completion.
-// Every completion skipped this way would have been a duplicate, so the
-// answers and the order in which each first appears are those of the full
-// enumeration. Ranked runs enumerate every binding.
+// runStream is the enumeration loop behind every evaluator entry point:
+// the Yannakakis program when it applies, otherwise the backtracking join
+// (backtrack, join.go) over the planner's constraint order with the
+// variables of pre pre-bound, cut by the projection (unranked runs) and
+// deduplicated unless ranked.
 func (ev *evaluator) runStream(pre map[string]int, yield StreamFunc) error {
-	q := ev.q
 	seen := map[string]bool{}
 	sink := func(t pattern.Tuple, cost int) bool {
 		if !ev.ranked {
@@ -126,57 +115,6 @@ func (ev *evaluator) runStream(pre map[string]int, yield StreamFunc) error {
 	if ev.tryYannakakis(pre, sink) {
 		return nil
 	}
-	order := ev.constraintOrder(pre)
-	vars := make([][]string, len(order))
-	for ci, c := range order {
-		vars[ci] = ev.constraintVars(c)
-	}
-	cuts := projectionCuts(vars, pre, q.Pattern.Out, ev.ranked)
-
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
-	}
-	stop := false
-	// rec reports whether the subtree below constraint ci completed at
-	// least once.
-	var rec func(ci, cost int) bool
-	rec = func(ci, cost int) bool {
-		if stop {
-			return false
-		}
-		if ci == len(order) {
-			t := make(pattern.Tuple, len(q.Pattern.Out))
-			for i, z := range q.Pattern.Out {
-				v, ok := assign[z]
-				if !ok {
-					return false // output var not constrained; Validate prevents this
-				}
-				t[i] = v
-			}
-			if !sink(t, cost) {
-				stop = true
-			}
-			return true
-		}
-		if ev.bud.Canceled() {
-			stop = true
-			return false
-		}
-		found := false
-		cont := func(d int) bool {
-			if rec(ci+1, cost+d) {
-				found = true
-			}
-			return !stop && !(found && ci >= cuts.exist)
-		}
-		if c := order[ci]; c.kind == cEdge {
-			ev.satisfyEdgeCost(c.idx, assign, cuts.dead[ci], cont)
-		} else {
-			ev.satisfyGroupCost(c.idx, assign, cuts.dead[ci], cont)
-		}
-		return found
-	}
-	rec(0, 0)
+	backtrack(ev.constraintOrder(pre), pre, ev.q.Pattern.Out, !ev.ranked, ev.bud, sink)
 	return nil
 }

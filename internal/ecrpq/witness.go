@@ -38,9 +38,9 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple) (*Witness, bool, error
 			pre[z] = t[i]
 		}
 	}
-	assign, ok, err := ev.findAssignment(pre)
-	if err != nil || !ok {
-		return nil, ok, err
+	assign, ok := ev.findAssignment(pre)
+	if !ok {
+		return nil, false, nil
 	}
 	w := &Witness{NodeOf: assign, Words: make([]string, len(q.Pattern.Edges))}
 	// Per-group word reconstruction (components share the search).
@@ -68,53 +68,27 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple) (*Witness, bool, error
 	return w, true, nil
 }
 
-// findAssignment runs the join and captures the first full assignment.
-func (ev *evaluator) findAssignment(pre map[string]int) (map[string]int, bool, error) {
-	q := ev.q
-	var unary []int
-	for i := range q.Pattern.Edges {
-		if !ev.inGroup[i] {
-			unary = append(unary, i)
+// findAssignment runs the uncut join over every ungrouped edge in query
+// order (dropped ones included: they are implied, and their words are
+// reconstructed too), then the groups, and captures the first full
+// assignment.
+func (ev *evaluator) findAssignment(pre map[string]int) (map[string]int, bool) {
+	var edges []int
+	for ei := range ev.q.Pattern.Edges {
+		if !ev.inGroup[ei] {
+			edges = append(edges, ei)
 		}
 	}
-	var order []constraintRef
-	for _, ei := range unary {
-		order = append(order, constraintRef{kind: cEdge, idx: ei})
-	}
-	for gi := range q.Groups {
-		order = append(order, constraintRef{kind: cGroup, idx: gi})
-	}
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
-	}
-	// also require every pattern variable to be bound at the end: the join
-	// binds all edge endpoints; output vars are pre-bound.
-	var captured map[string]int
-	var rec func(ci int)
-	rec = func(ci int) {
-		if captured != nil {
-			return
+	vars := ev.q.Pattern.Vars()
+	var assign map[string]int
+	backtrack(ev.joinAtoms(edges), pre, vars, false, nil, func(t pattern.Tuple, _ int) bool {
+		assign = make(map[string]int, len(vars))
+		for i, z := range vars {
+			assign[z] = t[i]
 		}
-		if ci == len(order) {
-			captured = map[string]int{}
-			for k, v := range assign {
-				captured[k] = v
-			}
-			return
-		}
-		c := order[ci]
-		if c.kind == cEdge {
-			ev.satisfyEdge(c.idx, assign, func() { rec(ci + 1) })
-		} else {
-			ev.satisfyGroup(c.idx, assign, func() { rec(ci + 1) })
-		}
-	}
-	rec(0)
-	if captured == nil {
-		return nil, false, nil
-	}
-	return captured, true, nil
+		return false
+	})
+	return assign, assign != nil
 }
 
 // edgeWitness reconstructs a shortest word labelling a path u→v that
